@@ -130,8 +130,9 @@ class AffiliateAppRuntime:
         if not self._has_more[self._active_tab]:
             self._offer_list().fully_loaded = True
             return False
+        shown = len(self._offers[self._active_tab])
         self._fetch_next_page(self._active_tab)
-        self._render_active_tab()
+        self._render_active_tab(start=shown)
         return True
 
     def visible_offers(self) -> List[WallOffer]:
@@ -173,11 +174,18 @@ class AffiliateAppRuntime:
         assert isinstance(found, OfferListView)
         return found
 
-    def _render_active_tab(self) -> None:
+    def _render_active_tab(self, start: int = 0) -> None:
+        """Render the active tab's cards from index ``start`` on.
+
+        ``start == 0`` redraws the list; a scroll passes the number of
+        cards already shown and appends only the new page's cards.
+        """
         offer_list = self._offer_list()
-        offer_list.children.clear()
+        if start == 0:
+            offer_list.children.clear()
         assert self._active_tab is not None
-        for index, offer in enumerate(self._offers[self._active_tab]):
+        for index, offer in enumerate(self._offers[self._active_tab][start:],
+                                      start):
             offer_list.add(OfferCardView(
                 view_id=f"offer_{self._active_tab}_{index}",
                 offer_id=offer.offer_id,

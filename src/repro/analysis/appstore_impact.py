@@ -50,11 +50,15 @@ class ImpactComparison:
         return group.fraction / self.baseline.fraction
 
 
-def _window_for(package: str, dataset: Optional[OfferDataset],
-                baseline_window: Tuple[int, int]) -> Tuple[int, int]:
-    if dataset is not None and package in set(dataset.unique_packages()):
-        return dataset.campaign_window(package)
-    return baseline_window
+def _windows_for(packages: Sequence[str], dataset: Optional[OfferDataset],
+                 baseline_window: Tuple[int, int]
+                 ) -> List[Tuple[str, Tuple[int, int]]]:
+    """Each package with its observed campaign window, or the baseline
+    window for a package the dataset never observed (or no dataset)."""
+    observed = set(dataset.unique_packages()) if dataset is not None else set()
+    return [(package, dataset.campaign_window(package)
+             if package in observed else baseline_window)
+            for package in packages]
 
 
 def _series_in_window(archive: CrawlArchive, package: str,
@@ -86,8 +90,7 @@ def _count_group(archive: CrawlArchive, packages: Sequence[str],
                  baseline_window: Tuple[int, int], label: str) -> GroupCount:
     total = 0
     positive = 0
-    for package in packages:
-        window = _window_for(package, dataset, baseline_window)
+    for package, window in _windows_for(packages, dataset, baseline_window):
         flag = install_increase_flag(archive, package, window)
         if flag is None:
             continue
@@ -149,9 +152,8 @@ def top_chart_comparison(
               label: str) -> GroupCount:
         total = 0
         positive = 0
-        for package in packages:
-            window = _window_for(package, dataset if use_dataset else None,
-                                 baseline_window)
+        for package, window in _windows_for(
+                packages, dataset if use_dataset else None, baseline_window):
             flag = _charted_in_window(archive, package, window,
                                       exclude_first_day=True)
             if flag is None:

@@ -113,6 +113,12 @@ class OfferDataset:
         #: every mutation; all aggregate queries below run against it.
         self._frame: Optional[ColumnarFrame] = None
         self._windows: Optional[Dict[str, Tuple[int, int]]] = None
+        #: Distinct-value folds, (column, iip filter) -> sorted values,
+        #: kept for the same epoch as the frame.  Only these small lists
+        #: are cached, never chunk frames, so streaming memory stays
+        #: bounded while the report stops re-folding the whole corpus
+        #: per query.
+        self._distinct: Dict[Tuple[str, Optional[str]], List[str]] = {}
 
     # -- ingestion ------------------------------------------------------------
 
@@ -127,8 +133,7 @@ class OfferDataset:
     def ingest(self, observation: ObservedOffer) -> None:
         key = (observation.iip_name, observation.offer_id)
         payout_usd = self.normalize_payout(observation)
-        self._frame = None
-        self._windows = None
+        self._invalidate()
         record = self._records.get(key)
         if record is None:
             self.obs.metrics.inc("monitor.offers_new",
@@ -181,8 +186,7 @@ class OfferDataset:
 
     def load_state(self, state: Dict[str, object]) -> None:
         self._records = {}
-        self._frame = None
-        self._windows = None
+        self._invalidate()
         for data in state["records"].values():  # type: ignore[union-attr]
             record = OfferRecord(
                 iip_name=str(data["iip_name"]),
@@ -197,6 +201,12 @@ class OfferDataset:
                 affiliates=set(data["affiliates"]),
             )
             self._records[(record.iip_name, record.offer_id)] = record
+
+    def _invalidate(self) -> None:
+        """Start a new mutation epoch: drop every derived view."""
+        self._frame = None
+        self._windows = None
+        self._distinct.clear()
 
     # -- queries ------------------------------------------------------------
 
@@ -244,18 +254,33 @@ class OfferDataset:
     def offer_count(self) -> int:
         return len(self._records)
 
+    def _distinct_values(self, name: str,
+                         iip_name: Optional[str] = None) -> List[str]:
+        """Sorted distinct values of column ``name`` (among one IIP's
+        offers if ``iip_name`` is given), folded once per epoch.  Returns
+        a copy, so a caller mutating it cannot change the next result."""
+        key = (name, iip_name)
+        values = self._distinct.get(key)
+        if values is None:
+            if iip_name is None:
+                values = fold_distinct(self.frame_chunks(), name)
+            else:
+                values = fold_filtered_distinct(self.frame_chunks(), name,
+                                                iip_name=iip_name)
+            self._distinct[key] = values
+        return list(values)
+
     def unique_packages(self) -> List[str]:
-        return fold_distinct(self.frame_chunks(), "package")
+        return self._distinct_values("package")
 
     def unique_descriptions(self) -> List[str]:
-        return fold_distinct(self.frame_chunks(), "description")
+        return self._distinct_values("description")
 
     def packages_for_iip(self, iip_name: str) -> List[str]:
-        return fold_filtered_distinct(self.frame_chunks(), "package",
-                                      iip_name=iip_name)
+        return self._distinct_values("package", iip_name)
 
     def iips_observed(self) -> List[str]:
-        return fold_distinct(self.frame_chunks(), "iip_name")
+        return self._distinct_values("iip_name")
 
     def campaign_window(self, package: str) -> Tuple[int, int]:
         """(first day, last day) this app's offers were observed."""

@@ -218,10 +218,12 @@ def keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
             ^ int.from_bytes(stream, "big")).to_bytes(length, "big")
 
 
-#: HMAC objects with the key pads absorbed, memoised per key: a TLS
-#: session MACs every record with the same key, and re-deriving the
-#: inner/outer pads per record costs two extra compressions each time.
-#: Forking a copy yields the same digest as ``hmac.new(key, data)``.
+#: HMAC objects with the key pads absorbed, memoised per key: a full
+#: handshake's base keys MAC its finished message, its ticket and every
+#: resumption's key derivation, and re-deriving the inner/outer pads per
+#: call costs two extra compressions each time.  Record MACs do not come
+#: here (each record codec holds its own).  Forking a copy yields the
+#: same digest as ``hmac.new(key, data)``.
 _HMAC_BASES: dict = {}
 
 

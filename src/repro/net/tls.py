@@ -16,6 +16,8 @@ on the measurement phone) and the victim does not pin the upstream key
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import json
 import random
 import threading
@@ -235,16 +237,24 @@ class _RecordCodec:
 
     def __init__(self, enc_key: bytes, mac_key: bytes) -> None:
         self._enc_key = enc_key
-        self._mac_key = mac_key
+        # Record MACs use the pad-absorbed HMAC built here, once per
+        # codec: resumed sessions get fresh keys, so a process-wide
+        # per-key memo would gain an entry per connection.
+        self._mac_base = hmac.new(mac_key, digestmod=hashlib.sha256)
         self._send_seq = 0
         self._recv_seq = 0
+
+    def _mac(self, data: bytes) -> bytes:
+        mac = self._mac_base.copy()
+        mac.update(data)
+        return mac.digest()
 
     def seal(self, plaintext: bytes) -> bytes:
         seq = self._send_seq
         self._send_seq += 1
         nonce = seq.to_bytes(8, "big")
         ciphertext = crypto.keystream_xor(self._enc_key, nonce, plaintext)
-        mac = crypto.hmac_sha256(self._mac_key, nonce + ciphertext)
+        mac = self._mac(nonce + ciphertext)
         return (_RECORD_MAGIC + nonce
                 + len(ciphertext).to_bytes(4, "big") + ciphertext + mac)
 
@@ -257,7 +267,7 @@ class _RecordCodec:
         mac = record[16 + length:16 + length + _MAC_LEN]
         if len(ciphertext) != length or len(mac) != _MAC_LEN:
             raise TlsError("truncated TLS record")
-        expected = crypto.hmac_sha256(self._mac_key, nonce + ciphertext)
+        expected = self._mac(nonce + ciphertext)
         if not crypto.constant_time_equal(mac, expected):
             raise TlsError("record MAC failure")
         seq = int.from_bytes(nonce, "big")

@@ -1,26 +1,27 @@
 """Durable per-day checkpoints: atomic writes, hash stamps, fallback.
 
-File format (one JSON document per checkpoint)::
+File format (one JSON document per checkpoint, on one line)::
 
-    {
-      "sha256": "<hex digest of the canonical payload encoding>",
-      "payload": {
-        "format_version": 1,
-        "kind": "wild" | "honey" | "serve",
-        "day": <cursor: first unit of work NOT covered>,
-        "state": {...}            # pipeline-specific state dict
-      }
-    }
+    {"payload":{"day":<cursor: first unit of work NOT covered>,
+                "format_version":1,
+                "kind":"wild" | "honey" | "serve",
+                "state":{...}},          # pipeline-specific state dict
+     "sha256":"<hex digest of the canonical payload encoding>"}
 
-The digest is computed over ``json.dumps(payload, sort_keys=True,
-separators=(",", ":"))`` so any truncation or bit-flip in the state is
-detected on load.  Writes go to a ``.tmp`` sibling first and are
-published with ``os.replace`` — a crash mid-write leaves either the old
-complete file or a dangling tmp, never a half-written checkpoint under
-the real name.  ``latest`` walks checkpoints newest-first and returns
-the first one that validates, so a corrupt day falls back to the
-previous day (the resumed run then re-executes the lost day
-deterministically).
+The payload's canonical encoding is ``json.dumps(payload,
+sort_keys=True, separators=(",", ":"))``; the digest is taken over it,
+so any truncation or bit-flip in the state is detected on load.  The
+file is the canonical encoding of the whole document, built around the
+payload text that was hashed, so each write encodes the state once.
+:meth:`CheckpointStore.load` parses any JSON layout, so checkpoints in
+the earlier indented layout still validate.
+
+Writes go to a ``.tmp`` sibling first and are published with
+``os.replace`` — a crash mid-write leaves either the old complete file
+or a dangling tmp, never a half-written checkpoint under the real name.
+``latest`` walks checkpoints newest-first and returns the first one
+that validates, so a corrupt day falls back to the previous day (the
+resumed run then re-executes the lost day deterministically).
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ def _canonical(payload: Dict[str, object]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _digest(payload: Dict[str, object]) -> str:
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+def _digest(canonical: str) -> str:
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class CheckpointStore:
@@ -77,10 +78,14 @@ class CheckpointStore:
             "day": day,
             "state": state,
         }
-        document = {"sha256": _digest(payload), "payload": payload}
+        canonical = _canonical(payload)
+        digest = _digest(canonical)
+        # Equal to _canonical({"payload": payload, "sha256": digest}):
+        # "payload" sorts before "sha256".
+        text = '{"payload":' + canonical + ',"sha256":"' + digest + '"}\n'
         target = self.path_for(day)
         tmp = target.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(document, sort_keys=True, indent=1) + "\n")
+        tmp.write_text(text)
         os.replace(tmp, target)
         self.obs.metrics.inc("recovery.checkpoints_written")
         return target
@@ -96,7 +101,7 @@ class CheckpointStore:
         if not isinstance(document, dict) or "payload" not in document:
             raise CheckpointError(f"malformed checkpoint {path}")
         payload = document["payload"]
-        if document.get("sha256") != _digest(payload):
+        if document.get("sha256") != _digest(_canonical(payload)):
             raise CheckpointError(f"hash mismatch in {path} (corrupt?)")
         if payload.get("format_version") != FORMAT_VERSION:
             raise CheckpointError(

@@ -94,6 +94,26 @@ class TestRuntime:
         assert offer_list.fully_loaded
         assert len(offer_list.cards) == 30
 
+    def test_scrolled_cards_match_a_full_render(self, wired):
+        runtime, _, _ = wired
+        runtime.open()
+        runtime.select_tab("Fyber")
+        while runtime.scroll():
+            pass
+
+        def cards():
+            return [(card.view_id, card.offer_id, card.text)
+                    for card in runtime.root.find_by_id("offer_list").cards]
+
+        scrolled = cards()
+        assert [view_id for view_id, _, _ in scrolled] == [
+            f"offer_Fyber_{index}" for index in range(30)]
+        assert [offer_id for _, offer_id, _ in scrolled] == [
+            offer.offer_id for offer in runtime.visible_offers()]
+        runtime.select_tab("ayeT-Studios")
+        runtime.select_tab("Fyber")  # redraws the whole list
+        assert cards() == scrolled
+
     def test_offers_across_tabs_accumulate(self, wired):
         runtime, _, _ = wired
         runtime.open()

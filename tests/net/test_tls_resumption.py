@@ -89,6 +89,17 @@ class TestSessionResumption:
         assert full_frames == 6
         assert resumed_frames == 2
 
+    def test_resumed_record_keys_stay_out_of_the_hmac_memo(self):
+        from repro.net import crypto
+        client = self.client()
+        client.get(HOST, "/json")
+        client.get(HOST, "/json")
+        memoised = len(crypto._HMAC_BASES)
+        for _ in range(5):
+            client.get(HOST, "/json")
+        assert self.counter("net.client.tls_resumptions") == 6
+        assert len(crypto._HMAC_BASES) == memoised
+
     def test_no_cache_means_no_resumption(self):
         client = make_client(self.fabric, self.trust, self.rng)
         client.obs = self.obs

@@ -1,11 +1,22 @@
 """Checkpoint durability: atomic writes, hash stamps, corrupt fallback."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.obs import Observability
 from repro.recovery import CheckpointError, CheckpointStore
+from repro.recovery.checkpoint import FORMAT_VERSION
+
+
+def stamped_document(kind, day, state):
+    """A checkpoint document, built independently of the store."""
+    payload = {"format_version": FORMAT_VERSION, "kind": kind, "day": day,
+               "state": state}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return {"payload": payload,
+            "sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest()}
 
 
 class TestWriteAndLoad:
@@ -28,6 +39,24 @@ class TestWriteAndLoad:
 
     def test_latest_none_when_empty(self, tmp_path):
         assert CheckpointStore(tmp_path, "wild").latest() is None
+
+
+class TestFileLayout:
+    STATE = {"records": {"b": [1, 2.5, None]}, "a": {"title": "Caf\u00e9 \u2014"}}
+
+    def test_file_is_the_canonical_document_on_one_line(self, tmp_path):
+        path = CheckpointStore(tmp_path, "wild").write(4, self.STATE)
+        document = stamped_document("wild", 4, self.STATE)
+        assert path.read_text() == json.dumps(
+            document, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_indented_layout_still_validates(self, tmp_path):
+        store = CheckpointStore(tmp_path, "honey")
+        document = stamped_document("honey", 2, self.STATE)
+        store.path_for(2).write_text(
+            json.dumps(document, sort_keys=True, indent=1) + "\n")
+        assert store.load(store.path_for(2)) == (2, self.STATE)
+        assert store.latest() == (2, self.STATE)
 
 
 class TestValidation:
