@@ -30,8 +30,11 @@ Run from the repo root::
     PYTHONPATH=src python scripts/export_bench_obs.py
 
 Scale/seed come from the same ``REPRO_BENCH_*`` variables the
-benchmarks use; the committed snapshots record them, so a check run
-under different values reports parameter drift rather than corruption.
+benchmarks use, and the committed snapshots record them in their
+``run`` block.  ``--check`` takes every parameter whose variable is
+unset from that block, so a default-environment check reruns exactly
+what was committed; a variable set to a different value is reported
+as a parameter mismatch (exit 1) instead of snapshot drift.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ import timeit
 from pathlib import Path
 
 from obs_export import (
+    check_run,
     deterministic_subset,
     emit_report,
+    env_run,
     render,
     stage_quantiles as _stage_quantiles,
 )
@@ -58,13 +63,26 @@ from repro import (
 )
 from repro.core import HoneyAppExperiment
 
-SEED = int(os.environ.get("REPRO_BENCH_SEED", "2019"))
-SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.35"))
-DAYS = int(os.environ.get("REPRO_BENCH_DAYS", "110"))
-SHARDS = int(os.environ.get("REPRO_BENCH_SHARDS", "1"))
-BACKEND = os.environ.get("REPRO_BENCH_BACKEND", "thread")
-HONEY_INSTALLS = int(os.environ.get("REPRO_BENCH_HONEY_INSTALLS", "500"))
-HONEY_SHARDS = int(os.environ.get("REPRO_BENCH_HONEY_SHARDS", "1"))
+#: ``(run key, variable, type, default)`` per bench parameter.
+WILD_PARAMS = (
+    ("seed", "REPRO_BENCH_SEED", int, 2019),
+    ("scale", "REPRO_BENCH_SCALE", float, 0.35),
+    ("days", "REPRO_BENCH_DAYS", int, 110),
+    ("shards", "REPRO_BENCH_SHARDS", int, 1),
+    ("backend", "REPRO_BENCH_BACKEND", str, "thread"),
+)
+HONEY_PARAMS = (
+    ("seed", "REPRO_BENCH_SEED", int, 2019),
+    ("installs_per_iip", "REPRO_BENCH_HONEY_INSTALLS", int, 500),
+    ("shards", "REPRO_BENCH_HONEY_SHARDS", int, 1),
+)
+
+#: The runs as the environment sets them (a plain export's parameters).
+WILD_RUN = env_run(WILD_PARAMS, os.environ)
+HONEY_RUN = env_run(HONEY_PARAMS, os.environ)
+DAYS = WILD_RUN["days"]
+SHARDS = WILD_RUN["shards"]
+BACKEND = WILD_RUN["backend"]
 
 STAGE_HISTOGRAMS = ("wild.milk_ops", "wild.crawl_ops", "wild.analyse_ops")
 HONEY_STAGE_HISTOGRAMS = ("honey.campaign_ops", "honey.analysis_ops")
@@ -76,24 +94,25 @@ DEFAULT_HONEY_OUT = REPO_ROOT / "BENCH_honey.json"
 DEFAULT_HONEY_SNAPSHOT = REPO_ROOT / "benchmarks/snapshots/honey_obs.json"
 
 
-def run_wild(crawl_cache: bool) -> tuple:
-    world = World(seed=SEED)
+def run_wild(crawl_cache: bool, run: dict = WILD_RUN) -> tuple:
+    world = World(seed=run["seed"])
     scenario = WildScenario(world, WildScenarioConfig(
-        scale=SCALE, measurement_days=DAYS))
+        scale=run["scale"], measurement_days=run["days"]))
     scenario.build()
     measurement = WildMeasurement(world, scenario, WildMeasurementConfig(
-        measurement_days=DAYS, shards=SHARDS, backend=BACKEND,
-        crawl_cache=crawl_cache))
+        measurement_days=run["days"], shards=run["shards"],
+        backend=run["backend"], crawl_cache=crawl_cache))
     started = time.monotonic()
     results = measurement.run()
     elapsed = time.monotonic() - started
     return world, results, elapsed
 
 
-def run_honey(tls_resumption: bool) -> tuple:
-    world = World(seed=SEED)
-    experiment = HoneyAppExperiment(world, installs_per_iip=HONEY_INSTALLS,
-                                    shards=HONEY_SHARDS,
+def run_honey(tls_resumption: bool, run: dict = HONEY_RUN) -> tuple:
+    world = World(seed=run["seed"])
+    experiment = HoneyAppExperiment(world,
+                                    installs_per_iip=run["installs_per_iip"],
+                                    shards=run["shards"],
                                     tls_resumption=tls_resumption)
     started = time.monotonic()
     results = experiment.run()
@@ -136,11 +155,11 @@ def scheduler_microbench() -> dict:
     }
 
 
-def build_report() -> dict:
+def build_report(run: dict = WILD_RUN) -> dict:
     """The full bench report; ``deterministic`` holds the committed
     subset (everything except wall-clock timings)."""
-    world, results, elapsed = run_wild(crawl_cache=True)
-    base_world, base_results, base_elapsed = run_wild(crawl_cache=False)
+    world, results, elapsed = run_wild(True, run)
+    base_world, base_results, base_elapsed = run_wild(False, run)
     total = world.obs.metrics.counter_total
     base_total = base_world.obs.metrics.counter_total
 
@@ -150,13 +169,7 @@ def build_report() -> dict:
     misses = int(total("crawler.cache_misses"))
     lookups = hits + misses
     deterministic = {
-        "run": {
-            "seed": SEED,
-            "scale": SCALE,
-            "days": DAYS,
-            "shards": SHARDS,
-            "backend": BACKEND,
-        },
+        "run": dict(run),
         "fabric": {
             "requests": requests,
             "requests_uncached": base_requests,
@@ -192,10 +205,10 @@ def build_report() -> dict:
     return report
 
 
-def build_honey_report() -> dict:
+def build_honey_report(run: dict = HONEY_RUN) -> dict:
     """The honey bench report: resumption on (shipped) vs off."""
-    world, results, elapsed = run_honey(tls_resumption=True)
-    base_world, base_results, base_elapsed = run_honey(tls_resumption=False)
+    world, results, elapsed = run_honey(True, run)
+    base_world, base_results, base_elapsed = run_honey(False, run)
     total = world.obs.metrics.counter_total
     base_total = base_world.obs.metrics.counter_total
 
@@ -205,11 +218,7 @@ def build_honey_report() -> dict:
     handshakes = int(total("net.client.tls_handshakes"))
     resumptions = int(total("net.client.tls_resumptions"))
     deterministic = {
-        "run": {
-            "seed": SEED,
-            "installs_per_iip": HONEY_INSTALLS,
-            "shards": HONEY_SHARDS,
-        },
+        "run": dict(run),
         "fabric": {
             "round_trips": round_trips,
             "round_trips_no_resumption": base_round_trips,
@@ -244,10 +253,21 @@ def build_honey_report() -> dict:
     return report
 
 
-def _emit(label: str, report: dict, out: Path, snapshot_out: Path,
-          check: bool) -> int:
-    return emit_report(f"{label} perf", report, out, snapshot_out, check,
-                       "export_bench_obs.py")
+def _export(label: str, build, params, out: Path, snapshot_out: Path,
+            check: bool, environ=os.environ) -> int:
+    """Build one bench report and pin (or, with ``check``, verify) its
+    snapshot; a check whose variables contradict the snapshot's ``run``
+    block fails before running anything."""
+    if check:
+        run, mismatches = check_run(params, snapshot_out, environ)
+        if mismatches:
+            for message in mismatches:
+                print(f"{label} perf parameter mismatch: {message}")
+            return 1
+    else:
+        run = env_run(params, environ)
+    return emit_report(f"{label} perf", build(run), out, snapshot_out,
+                       check, "export_bench_obs.py")
 
 
 def main() -> int:
@@ -269,11 +289,11 @@ def main() -> int:
     args = parser.parse_args()
     status = 0
     if args.only in (None, "wild"):
-        status |= _emit("wild", build_report(), args.out,
-                        args.snapshot_out, args.check)
+        status |= _export("wild", build_report, WILD_PARAMS, args.out,
+                          args.snapshot_out, args.check)
     if args.only in (None, "honey"):
-        status |= _emit("honey", build_honey_report(), args.honey_out,
-                        args.honey_snapshot_out, args.check)
+        status |= _export("honey", build_honey_report, HONEY_PARAMS,
+                          args.honey_out, args.honey_snapshot_out, args.check)
     return status
 
 

@@ -73,6 +73,43 @@ def stage_quantiles(world, names) -> dict:
     return table
 
 
+def env_run(params, environ) -> dict:
+    """The run parameters as the environment sets them.
+
+    ``params`` lists ``(key, variable, cast, default)``: the snapshot's
+    ``run`` key, the ``REPRO_BENCH_*`` variable that sets it, the type
+    to parse it with, and the value used when the variable is unset.
+    """
+    return {key: cast(environ[variable]) if variable in environ else default
+            for key, variable, cast, default in params}
+
+
+def check_run(params, snapshot: Path, environ) -> tuple:
+    """The run parameters a ``--check`` against ``snapshot`` uses.
+
+    An unset variable takes the committed snapshot's ``run`` value, so a
+    default-environment check compares like with like.  A variable set
+    to a value the snapshot did not run with is a parameter mismatch,
+    not drift: returns ``(run, mismatches)`` with one message per such
+    variable.
+    """
+    committed = {}
+    if snapshot.exists():
+        committed = json.loads(snapshot.read_text()).get("run", {})
+    run = env_run(params, environ)
+    mismatches = []
+    for key, variable, _cast, _default in params:
+        if key not in committed:
+            continue
+        if variable not in environ:
+            run[key] = committed[key]
+        elif run[key] != committed[key]:
+            mismatches.append(
+                f"{variable}={environ[variable]} but {snapshot} was "
+                f"recorded with {key}={committed[key]!r}")
+    return run, mismatches
+
+
 def emit_snapshot(label: str, rendered: str, out: Path, check: bool,
                   script: str) -> int:
     """Write (or, with ``check``, verify) one committed snapshot.

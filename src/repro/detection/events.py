@@ -90,6 +90,17 @@ class InstallLog:
     def devices(self) -> List[str]:
         return sorted(self._by_device)
 
+    def device_count(self) -> int:
+        """Distinct devices logged so far (no sort, unlike ``devices``)."""
+        return len(self._by_device)
+
+    def has_device(self, device_id: str) -> bool:
+        return device_id in self._by_device
+
+    def has_devices(self, device_ids: Set[str]) -> bool:
+        """Whether every id in ``device_ids`` has been logged."""
+        return self._by_device.keys() >= device_ids
+
     def events_for_package(self, package: str) -> List[DeviceInstallEvent]:
         return sorted(self._by_package.get(package, ()),
                       key=lambda event: event.timestamp_hours)

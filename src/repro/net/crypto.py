@@ -21,6 +21,28 @@ from typing import Optional, Tuple
 
 _MR_ROUNDS = 24
 
+#: Entries each module-level memo below keeps.  One seed-2019 honey run
+#: followed by a wild run leaves at most 1,319 in any of them, so no
+#: pipeline run recomputes a value; a long-lived process stays bounded.
+MEMO_CAP = 4096
+
+
+class _FifoMemo(dict):
+    """A memo dict that forgets its oldest entry once it holds ``cap``.
+
+    Every memo here caches a pure function, so an evicted entry only
+    costs its recomputation on the next miss, never a different answer.
+    """
+
+    def __init__(self, cap: int = MEMO_CAP) -> None:
+        super().__init__()
+        self.cap = cap
+
+    def __setitem__(self, key, value) -> None:
+        if len(self) >= self.cap and key not in self:
+            del self[next(iter(self))]
+        super().__setitem__(key, value)
+
 
 def _miller_rabin_witness(candidate: int, witness: int, d: int, r: int) -> bool:
     """True if ``witness`` proves ``candidate`` composite."""
@@ -143,10 +165,9 @@ def _digest_as_int(data: bytes, modulus: int) -> int:
 #: handshake against it, so the (digest, signature, key) triple recurs
 #: thousands of times.  Both operations are pure functions of their
 #: arguments, so caching cannot change any output — it only skips
-#: re-deriving a value already derived.  Bounded by the number of
-#: distinct certificates a process mints/verifies.
-_SIGN_CACHE: dict = {}
-_VERIFY_CACHE: dict = {}
+#: re-deriving a value already derived.
+_SIGN_CACHE = _FifoMemo()
+_VERIFY_CACHE = _FifoMemo()
 
 
 def sign(data: bytes, key: RsaPrivateKey) -> int:
@@ -180,7 +201,7 @@ def encrypt(plaintext_int: int, key: RsaPublicKey) -> int:
 
 #: CRT exponent/coefficient triples, memoised per private key (there
 #: are only as many keys as servers + minted mitm identities).
-_CRT_CACHE: dict = {}
+_CRT_CACHE = _FifoMemo()
 
 
 def decrypt(ciphertext_int: int, key: RsaPrivateKey) -> int:
@@ -224,7 +245,7 @@ def keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
 #: call costs two extra compressions each time.  Record MACs do not come
 #: here (each record codec holds its own).  Forking a copy yields the
 #: same digest as ``hmac.new(key, data)``.
-_HMAC_BASES: dict = {}
+_HMAC_BASES = _FifoMemo()
 
 
 def hmac_sha256(key: bytes, data: bytes) -> bytes:

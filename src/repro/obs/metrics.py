@@ -15,6 +15,7 @@ nothing and never fail.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -112,11 +113,9 @@ class HistogramState:
         self.total += value
         self.minimum = value if self.minimum is None else min(self.minimum, value)
         self.maximum = value if self.maximum is None else max(self.maximum, value)
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # The first bound with ``value <= bound``, else the overflow
+        # bucket (index ``len(bounds)``); bounds are ascending.
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:
@@ -265,6 +264,8 @@ class MetricsRegistry:
 
     def declare_histogram(self, name: str, bounds: Tuple[float, ...]) -> None:
         """Set custom bucket bounds for ``name`` (before first observe)."""
+        if list(bounds) != sorted(bounds):
+            raise ValueError(f"histogram bounds must ascend: {bounds}")
         with self._lock:
             if name in self._histograms:
                 raise ValueError(f"histogram {name!r} already has observations")

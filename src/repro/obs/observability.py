@@ -35,6 +35,11 @@ class Observability:
         """Next value of the shared monotonic operation counter."""
         return self.ops.tick()
 
+    def advance(self, amount: int) -> int:
+        """Move the op counter ``amount`` ticks at once — the same total
+        as ``amount`` calls to :meth:`tick`."""
+        return self.ops.advance(amount)
+
     def merge(self, other: Optional["Observability"]) -> None:
         """Fold a finished task-local context into this one.
 
@@ -137,6 +142,9 @@ class NullObservability(Observability):
         return False
 
     def tick(self) -> int:
+        return 0
+
+    def advance(self, amount: int) -> int:
         return 0
 
     def snapshot(self) -> Dict[str, object]:

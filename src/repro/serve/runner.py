@@ -310,7 +310,7 @@ def run_serve(config: ServeRunConfig,
         "detection": {
             "events": len(service.log),
             "watermark": service.watermark,
-            "devices": len(service.log.devices()),
+            "devices": service.log.device_count(),
             "incentivized": len(service.incentivized),
             "clusters": len(service.online.clusters),
             "flagged": len(flagged),

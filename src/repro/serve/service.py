@@ -42,6 +42,19 @@ detector's watermark).  Because the install log records the re-stamped
 events, the online flagged set still converges to exactly what the
 batch detector computes on the same log.
 
+Scoring ``/metrics``
+--------------------
+A ``/metrics`` miss scores the flagged-so-far set against the ground
+truth seen so far, and misses happen on every ingest.  Rather than
+rebuilding the device universe per request, the service keeps
+``positives`` — the incentivized devices that have appeared in the
+install log — current as events arrive (rebuilt once by
+:meth:`DetectionService.load_state` after a WAL replay).  The
+confusion matrix then follows from counts: ``tp = |flagged ∩
+positives|``, ``fp = |flagged| - tp``, ``fn = |positives| - tp`` and
+``tn = |devices| - tp - fp - fn``, which costs O(|flagged|) and equals
+:func:`~repro.detection.evaluation.evaluate_detector` on the same sets.
+
 Latency is measured twice per request, both deterministically: the op
 counter delta (``serve.request_ops``, instrumented work) and elapsed
 virtual milliseconds including queue wait (``serve.request_vtime_ms``).
@@ -53,10 +66,10 @@ queueing visible in the percentiles.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
 
-from repro.detection.evaluation import DetectionReport, evaluate_detector
+from repro.detection.evaluation import DetectionReport
 from repro.detection.events import DeviceInstallEvent, InstallLog
 from repro.detection.lockstep import DetectorConfig
 from repro.detection.stream import InstallEventBus, OnlineLockstepDetector
@@ -216,6 +229,9 @@ class DetectionService:
         self.bus.subscribe(self.log.add)
         self.bus.subscribe(self.online.ingest)
         self.incentivized: Set[str] = set()
+        #: ``incentivized`` ∩ logged devices, kept current by ingest so
+        #: ``/metrics`` never rebuilds it (see :meth:`evaluate_now`).
+        self.positives: Set[str] = set()
         #: Count of ingested events: the cache key's freshness axis.
         self.watermark = 0
         self.admission = AdmissionController(
@@ -387,20 +403,28 @@ class DetectionService:
         return self.watermark
 
     def _charge(self, units: int, per: int = 32) -> None:
-        """Tick the op counter in proportion to a response's payload —
+        """Advance the op counter in proportion to a response's payload —
         the deterministic stand-in for serialization cost."""
-        for _ in range(1 + units // per):
-            self.obs.tick()
+        self.obs.advance(1 + units // per)
 
     # -- handlers (atomic: no awaits) ----------------------------------------
 
-    def _stamp(self, event: DeviceInstallEvent) -> DeviceInstallEvent:
-        return replace(event, day=self.vclock.day,
-                       hour=self.vclock.hour_of_day)
+    def _stamp_batch(self, events: Sequence[DeviceInstallEvent]
+                     ) -> List[DeviceInstallEvent]:
+        """Re-stamp ``events`` at the current virtual instant.  Handlers
+        are atomic, so the instant is read once for the whole batch."""
+        day = self.vclock.day
+        hour = self.vclock.hour_of_day
+        return [DeviceInstallEvent(
+                    device_id=event.device_id, package=event.package,
+                    day=day, hour=hour, ip_slash24=event.ip_slash24,
+                    ssid_hash=event.ssid_hash, opened=event.opened,
+                    engagement_seconds=event.engagement_seconds)
+                for event in events]
 
     def _handle_ingest(self, params: Mapping[str, object]) -> Dict[str, object]:
         events: Sequence[DeviceInstallEvent] = params.get("events", ())  # type: ignore[assignment]
-        stamped = [self._stamp(event) for event in events]
+        stamped = self._stamp_batch(events)
         self._sync_day()
         incentivized = set(params.get("incentivized", ()))  # type: ignore[arg-type]
         if self.recovery is not None:
@@ -414,6 +438,12 @@ class DetectionService:
         self.bus.publish_all(stamped)
         self.watermark += len(stamped)
         self.incentivized.update(incentivized)
+        # Both sets only grow, so a new positive is either a device this
+        # batch logged or an id this batch declared incentivized.
+        known = self.incentivized
+        self.positives.update(event.device_id for event in stamped
+                              if event.device_id in known)
+        self.positives.update(filter(self.log.has_device, incentivized))
         return {"ingested": len(stamped), "watermark": self.watermark}
 
     def _handle_flagged(self, params: Mapping[str, object]) -> Dict[str, object]:
@@ -455,7 +485,7 @@ class DetectionService:
         return {
             "watermark": self.watermark,
             "events": len(self.log),
-            "flagged": len(self.online.flagged_devices),
+            "flagged": report.true_positives + report.false_positives,
             "precision": round(report.precision, 4),
             "recall": round(report.recall, 4),
             "false_positive_rate": round(report.false_positive_rate, 4),
@@ -469,10 +499,22 @@ class DetectionService:
     def evaluate_now(self) -> DetectionReport:
         """Score the flagged-so-far set against ground truth observed so
         far.  Unlike ``LiveDetection.evaluate`` this never finalizes the
-        online detector, so it is safe to serve mid-run."""
-        universe = set(self.log.devices())
-        return evaluate_detector(self.online.flagged_devices,
-                                 self.incentivized & universe, universe)
+        online detector, so it is safe to serve mid-run.
+
+        Equal to ``evaluate_detector(flagged, incentivized & universe,
+        universe)`` over the logged devices, computed from counts in
+        O(|flagged|): see "Scoring ``/metrics``" in the module docstring.
+        """
+        flagged = self.online.flagged_devices
+        if not self.log.has_devices(flagged):
+            raise ValueError("flagged set contains unknown devices")
+        positives = self.positives
+        tp = len(flagged & positives)
+        fp = len(flagged) - tp
+        fn = len(positives) - tp
+        tn = self.log.device_count() - tp - fp - fn
+        return DetectionReport(true_positives=tp, false_positives=fp,
+                               false_negatives=fn, true_negatives=tn)
 
     def finalize(self) -> Set[str]:
         """Flush pending windows; only meaningful once ingest stopped."""
@@ -504,6 +546,7 @@ class DetectionService:
         observability snapshot restore that makes the counters exact."""
         self.watermark = int(state["watermark"])  # type: ignore[arg-type]
         self.incentivized = set(state["incentivized"])  # type: ignore[arg-type]
+        self.positives = set(filter(self.log.has_device, self.incentivized))
         self._started_at = float(state["started_at"])  # type: ignore[arg-type]
         self._restored = True
         day = int(state["clock_day"])  # type: ignore[arg-type]

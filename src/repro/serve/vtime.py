@@ -4,10 +4,16 @@ A long-lived service cannot be benchmarked on wall time and stay
 byte-identical across runs, so the service and its client fleet run on
 a :class:`VirtualTimeEventLoop`: ``loop.time()`` reports *virtual
 seconds* that only advance when every ready callback has run and the
-loop jumps straight to the earliest scheduled timer.  ``select`` is
-always polled with a zero timeout, so a simulated day costs exactly as
-much wall time as the callbacks scheduled inside it — a two-day service
-run with thousands of requests finishes in seconds of real time.
+loop jumps straight to the earliest scheduled timer.  The loop never
+waits on the wall clock: while its own self-pipe is the only registered
+file descriptor, the selector answers every poll with "nothing ready"
+without a ``select`` syscall (whatever timeout the base loop computed —
+a cancelled timer at the head of the heap makes that timeout positive).
+Once any other descriptor is registered, polls go to the real
+``select`` so its readiness is still delivered.  A simulated day
+therefore costs exactly as much wall time as the callbacks scheduled
+inside it — a two-day service run with thousands of requests finishes
+in seconds of real time.
 
 Determinism contract
 --------------------
@@ -47,14 +53,34 @@ class VirtualLoopStalled(RuntimeError):
     """
 
 
+class _VirtualSelector(selectors.SelectSelector):
+    """``SelectSelector`` that skips the syscall for the self-pipe alone.
+
+    The loop registers its self-pipe at construction.  Without signal
+    handlers only ``call_soon_threadsafe`` writes to it, and that call
+    has already queued its callback, so a poll has nothing to add and
+    waiting on it would only sleep in wall time.
+    """
+
+    #: Set by the loop once its self-pipe exists; ``-1`` (always poll)
+    #: once a signal handler makes the pipe carry signal numbers.
+    self_pipe_fd = -1
+
+    def select(self, timeout=None):
+        registered = self._fd_to_key
+        if len(registered) == 1 and self.self_pipe_fd in registered:
+            return []
+        return super().select(timeout)
+
+
 class VirtualTimeEventLoop(asyncio.SelectorEventLoop):
     """A selector event loop whose clock is simulated.
 
     ``time()`` returns virtual seconds.  When the ready queue drains,
     the loop advances the virtual clock to the earliest timer deadline
-    before delegating to the stock ``_run_once``, which then computes a
-    zero select timeout and fires the timer immediately — no wall-clock
-    sleeping ever happens.
+    before delegating to the stock ``_run_once``, which then fires the
+    timer immediately; its selector poll is free (see
+    :class:`_VirtualSelector`) — no wall-clock sleeping ever happens.
 
     ``start_time`` seeds the virtual clock: a resumed service run
     constructs its loop at the checkpointed virtual instant so every
@@ -62,13 +88,20 @@ class VirtualTimeEventLoop(asyncio.SelectorEventLoop):
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        super().__init__(selectors.SelectSelector())
+        selector = _VirtualSelector()
+        super().__init__(selector)
+        selector.self_pipe_fd = self._ssock.fileno()
         if start_time < 0:
             raise ValueError("virtual time cannot start negative")
         self._virtual_now = float(start_time)
 
     def time(self) -> float:
         return self._virtual_now
+
+    def add_signal_handler(self, sig, callback, *args) -> None:
+        # Signals are delivered through the self-pipe: poll it for real.
+        self._selector.self_pipe_fd = -1
+        super().add_signal_handler(sig, callback, *args)
 
     def _run_once(self) -> None:
         if not self._ready:

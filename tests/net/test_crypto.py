@@ -1,5 +1,7 @@
 """Crypto primitive tests: primes, RSA, stream cipher, key derivation."""
 
+import hashlib
+import hmac
 import random
 
 import pytest
@@ -124,3 +126,54 @@ class TestHmac:
     def test_hmac_keyed(self):
         assert (crypto.hmac_sha256(b"k1", b"data")
                 != crypto.hmac_sha256(b"k2", b"data"))
+
+
+class TestMemoCap:
+    """The module-level memos forget their oldest entries at the cap
+    and keep returning the same values."""
+
+    def test_fifo_memo_stays_at_its_cap(self):
+        memo = crypto._FifoMemo(cap=4)
+        for key in range(10):
+            memo[key] = key * key
+        assert len(memo) == 4
+        assert list(memo) == [6, 7, 8, 9]
+        memo[9] = -1  # overwriting a present key evicts nothing
+        assert list(memo.items())[-1] == (9, -1) and len(memo) == 4
+
+    def test_hmac_memo_is_bounded_and_outputs_unchanged(self, monkeypatch):
+        monkeypatch.setattr(crypto, "_HMAC_BASES", crypto._FifoMemo(cap=8))
+        keys = [b"key-%03d" % i for i in range(20)]
+        for _ in range(2):  # the second pass recomputes evicted bases
+            for key in keys:
+                assert (crypto.hmac_sha256(key, b"data")
+                        == hmac.new(key, b"data", hashlib.sha256).digest())
+                assert len(crypto._HMAC_BASES) <= 8
+
+    def test_rsa_memos_are_bounded_and_outputs_unchanged(self, monkeypatch):
+        for name in ("_SIGN_CACHE", "_VERIFY_CACHE", "_CRT_CACHE"):
+            monkeypatch.setattr(crypto, name, crypto._FifoMemo(cap=3))
+        rng = random.Random(5)
+        pairs = [crypto.generate_keypair(256, rng) for _ in range(5)]
+        messages = [b"cert-%d" % i for i in range(4)]
+        first = [crypto.sign(message, pair.private)
+                 for pair in pairs for message in messages]
+        second = [crypto.sign(message, pair.private)
+                  for pair in pairs for message in messages]
+        assert first == second
+        assert first == [
+            pow(int.from_bytes(hashlib.sha256(message).digest(), "big")
+                % pair.private.modulus,
+                pair.private.exponent, pair.private.modulus)
+            for pair in pairs for message in messages]
+        for pair in pairs:
+            for message in messages:
+                signature = crypto.sign(message, pair.private)
+                assert crypto.verify(message, signature, pair.public)
+                assert not crypto.verify(message + b"!", signature,
+                                         pair.public)
+            secret = rng.getrandbits(128)
+            assert crypto.decrypt(crypto.encrypt(secret, pair.public),
+                                  pair.private) == secret
+        for name in ("_SIGN_CACHE", "_VERIFY_CACHE", "_CRT_CACHE"):
+            assert len(getattr(crypto, name)) <= 3

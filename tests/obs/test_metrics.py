@@ -100,6 +100,44 @@ class TestGaugesAndHistograms:
         assert summary["min"] is None and summary["max"] is None
 
 
+def linear_bucket(bounds, value):
+    """The bucket index a linear scan over ``bounds`` picks."""
+    for index, bound in enumerate(bounds):
+        if value <= bound:
+            return index
+    return len(bounds)
+
+
+class TestHistogramBucketing:
+    @pytest.mark.parametrize("bounds", [
+        (1.0, 2.0, 5.0, 10.0),
+        (1, 2, 5, 10),
+        (0.5,),
+        (1.0, 1.0, 3.0),
+    ])
+    @pytest.mark.parametrize("value", [
+        -3, 0, 0.25, 0.5, 1, 1.0, 1.5, 2, 2.0000001, 5.0, 9.999, 10,
+        10.0, 10.5, 11, 1e9])
+    def test_bisect_matches_the_linear_scan(self, bounds, value):
+        from repro.obs.metrics import HistogramState
+        state = HistogramState(bounds=bounds)
+        state.observe(value)
+        expected = [0] * (len(bounds) + 1)
+        expected[linear_bucket(bounds, value)] = 1
+        assert state.bucket_counts == expected
+
+    def test_value_on_a_bound_lands_in_that_bucket(self):
+        from repro.obs.metrics import HistogramState
+        state = HistogramState(bounds=(1.0, 10.0))
+        for value in (1.0, 1, 10.0, 10):
+            state.observe(value)
+        assert state.bucket_counts == [2, 2, 0]
+
+    def test_unsorted_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            MetricsRegistry().declare_histogram("h", (10.0, 1.0))
+
+
 class TestDeterminism:
     def test_snapshot_is_fully_sorted(self):
         registry = MetricsRegistry()

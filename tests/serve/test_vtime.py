@@ -1,6 +1,9 @@
 """Virtual-time event loop: sleeps cost zero wall time, determinism."""
 
 import asyncio
+import os
+import signal
+import socket
 import time
 
 import pytest
@@ -83,4 +86,99 @@ class TestVirtualTime:
             with pytest.raises(VirtualLoopStalled):
                 loop.run_until_complete(main())
         finally:
+            loop.close()
+
+
+class TestSelector:
+    """The loop's poll skips ``select`` only while nothing but its own
+    self-pipe is registered."""
+
+    @staticmethod
+    def count_selects(loop):
+        selector = loop._selector
+        calls = []
+        real = selector._select
+
+        def counting(*args):
+            calls.append(args[-1])
+            return real(*args)
+
+        selector._select = counting
+        return calls
+
+    def test_self_pipe_alone_makes_no_select_call(self):
+        async def main():
+            for _ in range(50):
+                await asyncio.sleep(1.0)
+
+        loop = VirtualTimeEventLoop()
+        try:
+            calls = self.count_selects(loop)
+            loop.run_until_complete(main())
+            assert loop.time() == pytest.approx(50.0)
+            assert calls == []
+        finally:
+            loop.close()
+
+    def test_ready_reader_on_a_real_fd_is_delivered(self):
+        loop = VirtualTimeEventLoop()
+        left, right = socket.socketpair()
+        try:
+            calls = self.count_selects(loop)
+            received = []
+
+            def on_readable():
+                received.append(left.recv(16))
+                loop.remove_reader(left.fileno())
+
+            loop.add_reader(left.fileno(), on_readable)
+            right.send(b"ping")
+
+            async def main():
+                for _ in range(10):
+                    if received:
+                        return loop.time()
+                    await asyncio.sleep(1.0)
+
+            woke_at = loop.run_until_complete(main())
+            assert received == [b"ping"]
+            assert woke_at is not None and woke_at <= 1.0
+            assert calls and all(timeout == 0 for timeout in calls)
+        finally:
+            left.close()
+            right.close()
+            loop.close()
+
+    def test_cancelled_head_timer_costs_no_wall_time(self):
+        # The base loop drops a cancelled timer at the heap head after
+        # the virtual clock jumped to it, then computes a positive poll
+        # timeout for the next timer; that poll must not sleep.
+        loop = VirtualTimeEventLoop()
+        try:
+            loop.call_later(1.0, lambda: None).cancel()
+            loop.call_later(30.0, loop.stop)
+            started = time.monotonic()
+            loop.run_forever()
+            assert time.monotonic() - started < 5.0
+            assert loop.time() == pytest.approx(30.0)
+        finally:
+            loop.close()
+
+    def test_signal_handler_is_still_dispatched(self):
+        loop = VirtualTimeEventLoop()
+        received = []
+        try:
+            loop.add_signal_handler(signal.SIGUSR1, received.append, "usr1")
+
+            async def main():
+                os.kill(os.getpid(), signal.SIGUSR1)
+                for _ in range(10):
+                    if received:
+                        return
+                    await asyncio.sleep(1.0)
+
+            loop.run_until_complete(main())
+            assert received == ["usr1"]
+        finally:
+            loop.remove_signal_handler(signal.SIGUSR1)
             loop.close()
